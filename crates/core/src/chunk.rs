@@ -7,6 +7,7 @@
 
 use crate::error::{XbError, XbResult};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use xorbits_array::{ElemOp, NdArray, Reduction};
 use xorbits_dataframe::{AggSpec, DataFrame, Expr, JoinType, Scalar};
@@ -486,6 +487,192 @@ impl ChunkGraph {
             }
         }
         Ok(())
+    }
+}
+
+/// A hash map keyed by chunk key, laid out for the compile passes.
+pub type KeyMap<V> = std::collections::HashMap<ChunkKey, V, BuildHasherDefault<KeyHasher>>;
+
+/// Hasher for [`KeyMap`]. Keys come from a monotonic allocator, so one
+/// graph's keys are mostly consecutive. The hash keeps a key's low bits
+/// as they are, which puts consecutive keys in consecutive buckets without
+/// collisions and keeps lookups made in key order within a few cache
+/// lines; the top seven bits, which the table compares first, are mixed.
+#[derive(Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let k = bytes
+            .iter()
+            .fold(self.0, |h, &b| h.rotate_left(8) ^ b as u64);
+        self.write_u64(k);
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        self.0 = k ^ (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) & (0x7f << 57));
+    }
+}
+
+/// Rows of `u32`s in one flat array (compressed sparse rows): row `i` is
+/// `items[start[i]..start[i + 1]]`. The compile passes keep their
+/// node- and group-indexed lists in this form instead of `Vec<Vec<_>>`.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// No rows yet, with room for `rows` rows of `items` entries in all.
+    pub(crate) fn with_capacity(rows: usize, items: usize) -> Csr {
+        let mut start = Vec::with_capacity(rows + 1);
+        start.push(0);
+        Csr {
+            start,
+            items: Vec::with_capacity(items),
+        }
+    }
+
+    /// Groups `(row, item)` pairs into `rows` rows, keeping the pairs'
+    /// order within each row (a counting sort; `pairs` is walked twice).
+    pub(crate) fn from_pairs<I>(rows: usize, pairs: I) -> Csr
+    where
+        I: Iterator<Item = (usize, u32)> + Clone,
+    {
+        let mut start = vec![0u32; rows + 1];
+        for (r, _) in pairs.clone() {
+            start[r + 1] += 1;
+        }
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        let mut fill = start.clone();
+        let mut items = vec![0u32; start[rows] as usize];
+        for (r, item) in pairs {
+            items[fill[r] as usize] = item;
+            fill[r] += 1;
+        }
+        Csr { start, items }
+    }
+
+    /// Appends `item` to the row being built.
+    pub(crate) fn push(&mut self, item: u32) {
+        self.items.push(item);
+    }
+
+    /// Closes the row being built.
+    pub(crate) fn end_row(&mut self) {
+        self.start.push(self.items.len() as u32);
+    }
+
+    /// Number of closed rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Row `i`.
+    pub(crate) fn row(&self, i: usize) -> &[u32] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// A chunk graph's edges, resolved once into flat arrays so the compile
+/// passes after operator fusion — coloring and the subtask build — index
+/// instead of hashing.
+///
+/// Every distinct key the graph names gets a dense *key id*. The outputs of
+/// node `i` are ids `out_start[i]..out_start[i + 1]`, numbered in node
+/// order; keys read from earlier executions (no producer in this graph)
+/// get the ids after all outputs, in order of first use.
+#[derive(Debug, Clone)]
+pub struct Adjacency {
+    /// Key ids of each node's inputs, in input order.
+    inputs: Csr,
+    /// Node `i`'s output ids are `out_start[i]..out_start[i + 1]`.
+    out_start: Vec<u32>,
+    /// Producing node of every output id.
+    producer: Vec<u32>,
+    /// Number of key ids: outputs, then external inputs.
+    keys: usize,
+}
+
+impl Adjacency {
+    /// Resolves `graph` with one hash lookup per key occurrence. A key
+    /// output by several nodes resolves to the last of them, as
+    /// [`ChunkGraph::producers`] does.
+    pub fn new(graph: &ChunkGraph) -> Adjacency {
+        let n = graph.nodes.len();
+        let n_out: usize = graph.nodes.iter().map(|n| n.outputs.len()).sum();
+        let n_in: usize = graph.nodes.iter().map(|n| n.inputs.len()).sum();
+        let mut ids: KeyMap<u32> = KeyMap::with_capacity_and_hasher(n_out, Default::default());
+        let mut out_start = Vec::with_capacity(n + 1);
+        let mut producer = Vec::with_capacity(n_out);
+        out_start.push(0);
+        for (i, node) in graph.nodes.iter().enumerate() {
+            for &k in &node.outputs {
+                ids.insert(k, producer.len() as u32);
+                producer.push(i as u32);
+            }
+            out_start.push(producer.len() as u32);
+        }
+        let mut keys = n_out as u32;
+        let mut inputs = Csr::with_capacity(n, n_in);
+        for node in &graph.nodes {
+            for &k in &node.inputs {
+                inputs.push(*ids.entry(k).or_insert_with(|| {
+                    keys += 1;
+                    keys - 1
+                }));
+            }
+            inputs.end_row();
+        }
+        Adjacency {
+            inputs,
+            out_start,
+            producer,
+            keys: keys as usize,
+        }
+    }
+
+    /// Number of nodes.
+    pub fn nodes(&self) -> usize {
+        self.inputs.rows()
+    }
+
+    /// Number of key ids (outputs plus external inputs).
+    pub fn keys(&self) -> usize {
+        self.keys
+    }
+
+    /// Number of output ids: ids below this have a producer.
+    pub fn produced_keys(&self) -> usize {
+        self.producer.len()
+    }
+
+    /// Key ids of node `i`'s inputs, parallel to its `inputs`.
+    pub fn inputs(&self, i: usize) -> &[u32] {
+        self.inputs.row(i)
+    }
+
+    /// Key ids of node `i`'s outputs, parallel to its `outputs`.
+    pub fn outputs(&self, i: usize) -> std::ops::Range<usize> {
+        self.out_start[i] as usize..self.out_start[i + 1] as usize
+    }
+
+    /// The node producing key id `k`, or `None` for a key read from an
+    /// earlier execution.
+    pub fn producer(&self, k: u32) -> Option<usize> {
+        self.producer.get(k as usize).map(|&p| p as usize)
+    }
+
+    /// Producer of each of node `i`'s inputs, in input order.
+    pub fn input_producers(&self, i: usize) -> impl Iterator<Item = Option<usize>> + '_ {
+        self.inputs(i).iter().map(|&k| self.producer(k))
     }
 }
 

@@ -341,14 +341,20 @@ pub fn explain_stage_breakdown(metrics: &MetricsSnapshot) -> String {
 }
 
 /// Renders per-band utilization of the virtual cluster from a trace: busy
-/// seconds (sum of span durations on each pid-1 track) over the latest
-/// span end across the cluster.
+/// seconds (sum of span durations on each pid-1 track) over the cluster's
+/// running time, the sum of every fetch's own virtual horizon (see
+/// [`TraceLog::fetch_horizons`]).
 pub fn explain_utilization(log: &TraceLog) -> String {
-    let horizon = log.span_horizon(1);
+    let fetches = log.fetch_horizons(1);
+    let horizon: f64 = fetches.iter().sum();
     if horizon <= 0.0 {
         return "Utilization: no virtual-cluster spans recorded\n".to_string();
     }
-    let mut out = format!("Per-band utilization over {horizon:.6}s virtual\n");
+    let mut out = format!(
+        "Per-band utilization over {horizon:.6}s virtual ({} fetch{})\n",
+        fetches.len(),
+        if fetches.len() == 1 { "" } else { "es" }
+    );
     for ((pid, tid), busy) in log.busy_seconds() {
         if pid != 1 {
             continue;
@@ -494,7 +500,7 @@ mod tests {
         });
         let text = explain_chunks(&g);
         assert!(text.contains("2 operators"));
-        let sg = SubtaskGraph::from_groups(g, &[0, 0], &[b].into_iter().collect()).unwrap();
+        let sg = SubtaskGraph::from_groups(g, &[0, 0], [b].into_iter().collect()).unwrap();
         let text = explain_subtasks(&sg);
         assert!(text.contains("2 chunk ops fused into 1 subtasks"), "{text}");
     }

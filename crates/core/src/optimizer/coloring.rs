@@ -14,32 +14,40 @@
 //!    nodes whose output is also needed elsewhere out of the straight-line
 //!    chain — e.g. Fig 7's Operator ① must not fuse with ③ or ⑤.
 
-use crate::chunk::ChunkGraph;
+use crate::chunk::{Adjacency, Csr};
 
-/// Computes the color (= fusion group id) of every node.
-pub fn color_graph(graph: &ChunkGraph) -> Vec<usize> {
-    let n = graph.nodes.len();
-    let producers = graph.producers();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+/// Computes the color (= fusion group id) of every node. Linear in the
+/// graph's size apart from the separation step's re-checks, which only run
+/// on the rare nodes whose successors mix colors.
+pub fn color_graph(adj: &Adjacency) -> Vec<usize> {
+    let n = adj.nodes();
+    // distinct in-graph predecessors of each node, in order of first use
+    let mut preds = Csr::with_capacity(n, 0);
     // nodes also reading chunks produced by *earlier executions* (dynamic
     // tiling fragments): their data does not flow from their in-graph
     // predecessor, so they must not inherit its color — otherwise e.g.
     // every broadcast join hanging off one Concat would fuse into a single
     // serial subtask
     let mut has_external = vec![false; n];
-    for (ci, node) in graph.nodes.iter().enumerate() {
-        for k in &node.inputs {
-            if let Some(&pi) = producers.get(k) {
-                if !preds[ci].contains(&pi) {
-                    preds[ci].push(pi);
-                    succs[pi].push(ci);
+    let mut stamp = vec![usize::MAX; n];
+    for (ci, external) in has_external.iter_mut().enumerate() {
+        for p in adj.input_producers(ci) {
+            match p {
+                Some(pi) if stamp[pi] != ci => {
+                    stamp[pi] = ci;
+                    preds.push(pi as u32);
                 }
-            } else {
-                has_external[ci] = true;
+                Some(_) => {}
+                None => *external = true,
             }
         }
+        preds.end_row();
     }
+    // successors in ascending order
+    let succs = Csr::from_pairs(
+        n,
+        (0..n).flat_map(|ci| preds.row(ci).iter().map(move |&p| (p as usize, ci as u32))),
+    );
 
     let mut colors = vec![usize::MAX; n];
     let mut next_color = 0usize;
@@ -52,11 +60,12 @@ pub fn color_graph(graph: &ChunkGraph) -> Vec<usize> {
     // Steps 1 + 2: initial colors, then forward inheritance.
     // (insertion order is topological)
     for i in 0..n {
-        if preds[i].is_empty() {
+        let ps = preds.row(i);
+        if ps.is_empty() {
             colors[i] = fresh();
         } else {
-            let first = colors[preds[i][0]];
-            if !has_external[i] && preds[i].iter().all(|&p| colors[p] == first) {
+            let first = colors[ps[0] as usize];
+            if !has_external[i] && ps.iter().all(|&p| colors[p as usize] == first) {
                 colors[i] = first;
             } else {
                 colors[i] = fresh();
@@ -70,15 +79,15 @@ pub fn color_graph(graph: &ChunkGraph) -> Vec<usize> {
     // chains.
     for i in 0..n {
         let c = colors[i];
-        let same: Vec<usize> = succs[i]
-            .iter()
-            .copied()
-            .filter(|&s| colors[s] == c)
-            .collect();
-        let diff_exists = succs[i].iter().any(|&s| colors[s] != c);
-        if same.is_empty() || !diff_exists {
+        let ss = succs.row(i);
+        if !ss.iter().any(|&s| colors[s as usize] != c) {
             continue;
         }
+        let same: Vec<usize> = ss
+            .iter()
+            .map(|&s| s as usize)
+            .filter(|&s| colors[s] == c)
+            .collect();
         for s in same {
             let new_c = fresh();
             recolor_chain(s, c, new_c, &mut colors, &succs, &preds);
@@ -94,14 +103,15 @@ fn recolor_chain(
     old: usize,
     new: usize,
     colors: &mut [usize],
-    succs: &[Vec<usize>],
-    preds: &[Vec<usize>],
+    succs: &Csr,
+    preds: &Csr,
 ) {
     colors[start] = new;
     let mut stack = vec![start];
     while let Some(u) = stack.pop() {
-        for &v in &succs[u] {
-            if colors[v] == old && preds[v].iter().all(|&p| colors[p] == new) {
+        for &v in succs.row(u) {
+            let v = v as usize;
+            if colors[v] == old && preds.row(v).iter().all(|&p| colors[p as usize] == new) {
                 colors[v] = new;
                 stack.push(v);
             }
@@ -112,7 +122,7 @@ fn recolor_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::{ChunkNode, ChunkOp, KeyGen};
+    use crate::chunk::{ChunkGraph, ChunkNode, ChunkOp, KeyGen};
 
     /// Builds a graph from an adjacency description: `edges[i]` lists the
     /// predecessors of node `i`.
@@ -133,7 +143,7 @@ mod tests {
     #[test]
     fn straight_chain_single_color() {
         let g = graph_from_preds(&[&[], &[0], &[1], &[2]]);
-        let c = color_graph(&g);
+        let c = color_graph(&Adjacency::new(&g));
         assert!(
             c.iter().all(|&x| x == c[0]),
             "chain should fully fuse: {c:?}"
@@ -143,7 +153,7 @@ mod tests {
     #[test]
     fn independent_sources_distinct_colors() {
         let g = graph_from_preds(&[&[], &[]]);
-        let c = color_graph(&g);
+        let c = color_graph(&Adjacency::new(&g));
         assert_ne!(c[0], c[1]);
     }
 
@@ -151,7 +161,7 @@ mod tests {
     fn join_node_gets_new_color() {
         // 0 -> 2 <- 1 : node 2 has mixed-color predecessors
         let g = graph_from_preds(&[&[], &[], &[0, 1]]);
-        let c = color_graph(&g);
+        let c = color_graph(&Adjacency::new(&g));
         assert_ne!(c[2], c[0]);
         assert_ne!(c[2], c[1]);
     }
@@ -174,7 +184,7 @@ mod tests {
             &[1],    // 5 = ⑦ inherits C2 in step 2
             &[5, 4], // 6 = ⑥ mixed -> new color
         ]);
-        let c = color_graph(&g);
+        let c = color_graph(&Adjacency::new(&g));
         // separation: ① not fused with ③
         assert_ne!(c[0], c[2], "① must be split from ③: {c:?}");
         // ③ and ④ stay fused (the new color propagated to ④)
@@ -193,7 +203,7 @@ mod tests {
         // share its color (no "different" successor) so per the paper the
         // whole diamond may fuse — verify it stays consistent (all same).
         let g = graph_from_preds(&[&[], &[0], &[0], &[1, 2]]);
-        let c = color_graph(&g);
+        let c = color_graph(&Adjacency::new(&g));
         assert_eq!(c[0], c[1]);
         assert_eq!(c[0], c[2]);
         assert_eq!(c[0], c[3]);

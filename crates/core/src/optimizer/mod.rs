@@ -6,24 +6,26 @@ pub mod coloring;
 pub mod op_fusion;
 pub mod pruning;
 
-use crate::chunk::{ChunkGraph, ChunkKey};
+use crate::chunk::{Adjacency, ChunkGraph, ChunkKey};
 use crate::config::XorbitsConfig;
-use crate::subtask::SubtaskGraph;
+use crate::subtask::{GroupOrder, SubtaskGraph};
 use crate::trace;
 use std::collections::HashSet;
 
 /// Lowers an (already tiled) chunk graph to a subtask graph, applying
 /// operator-level fusion and coloring-based graph-level fusion according to
-/// the configuration.
+/// the configuration. Every pass is linear in the graph's size: fusion
+/// resolves keys once, and coloring and the subtask build share one
+/// [`Adjacency`] built after it.
 pub fn build_subtask_graph(
     mut chunks: ChunkGraph,
     cfg: &XorbitsConfig,
-    protected: &HashSet<ChunkKey>,
+    protected: HashSet<ChunkKey>,
 ) -> SubtaskGraph {
     if cfg.op_fusion {
         let before = chunks.nodes.len();
         trace::timed(trace::Stage::Optimize, "op_fusion", || {
-            op_fusion::fuse_elementwise(&mut chunks, protected)
+            op_fusion::fuse_elementwise(&mut chunks, &protected)
         });
         if trace::is_enabled() {
             trace::counter_add("optimize.ops_fused", (before - chunks.nodes.len()) as u64);
@@ -31,11 +33,10 @@ pub fn build_subtask_graph(
     }
     if cfg.graph_fusion {
         let _g = trace::span(trace::Stage::Optimize, "coloring");
-        let colors = coloring::color_graph(&chunks);
-        let sg = match SubtaskGraph::from_groups(chunks.clone(), &colors, protected) {
-            Ok(sg) => sg,
-            Err(_) => SubtaskGraph::singletons(chunks, protected),
-        };
+        let adj = Adjacency::new(&chunks);
+        let colors = coloring::color_graph(&adj);
+        let order = GroupOrder::new(&adj, &colors).unwrap_or_else(|_| GroupOrder::singletons(&adj));
+        let sg = order.build(chunks, &adj, protected);
         if trace::is_enabled() {
             trace::counter_add(
                 "optimize.chunks_fused",
@@ -76,7 +77,7 @@ mod tests {
     fn full_optimization_collapses_chain() {
         let (g, keys) = chain();
         let protected: HashSet<_> = [keys[3]].into_iter().collect();
-        let sg = build_subtask_graph(g, &XorbitsConfig::default(), &protected);
+        let sg = build_subtask_graph(g, &XorbitsConfig::default(), protected);
         // op fusion merges the three maps; coloring fuses source+map
         assert_eq!(sg.len(), 1);
         assert_eq!(sg.chunks.nodes.len(), 2);
@@ -89,7 +90,7 @@ mod tests {
         let cfg = XorbitsConfig::default()
             .without_graph_fusion()
             .without_op_fusion();
-        let sg = build_subtask_graph(g, &cfg, &protected);
+        let sg = build_subtask_graph(g, &cfg, protected);
         assert_eq!(sg.len(), 4);
     }
 
@@ -98,7 +99,7 @@ mod tests {
         let (g, keys) = chain();
         let protected: HashSet<_> = [keys[3]].into_iter().collect();
         let cfg = XorbitsConfig::default().without_graph_fusion();
-        let sg = build_subtask_graph(g, &cfg, &protected);
+        let sg = build_subtask_graph(g, &cfg, protected);
         // maps fused into one op, but source and map stay separate subtasks
         assert_eq!(sg.chunks.nodes.len(), 2);
         assert_eq!(sg.len(), 2);

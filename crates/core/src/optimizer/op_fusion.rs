@@ -7,75 +7,72 @@
 //! and for arrays the scalar chain is evaluated in a single pass over the
 //! buffer.
 
-use crate::chunk::{ChunkGraph, ChunkKey, ChunkOp};
-use std::collections::{HashMap, HashSet};
+use crate::chunk::{ChunkGraph, ChunkKey, ChunkOp, KeyMap};
+use std::collections::HashSet;
 
 /// Fuses elementwise chains in place; returns the number of operators
 /// eliminated.
+///
+/// An edge `u -> v` is fusable when `v` is elementwise with exactly one
+/// input, that input is `u`'s only output, it has no other consumer and is
+/// not protected, and `u` is an elementwise operator of the same family
+/// (dataframe with dataframe, array with array). Merging never changes
+/// which edges are fusable, so one walk in topological order suffices:
+/// each consumer absorbs its fusable producer, whose steps already include
+/// everything fused into it, and the absorbed nodes are dropped in one
+/// `retain`. Chains collapse into their last node, which keeps its place.
+/// Chunk keys are unique, so every key has at most one producer.
 pub fn fuse_elementwise(graph: &mut ChunkGraph, protected: &HashSet<ChunkKey>) -> usize {
-    let mut eliminated = 0;
-    loop {
-        let producers = graph.producers();
-        let mut consumers: HashMap<ChunkKey, Vec<usize>> = HashMap::new();
-        for (ci, node) in graph.nodes.iter().enumerate() {
-            for k in &node.inputs {
-                consumers.entry(*k).or_default().push(ci);
+    // output key of each elementwise single-output node -> (node, number
+    // of input slots reading it)
+    let mut links: KeyMap<(usize, usize)> = KeyMap::default();
+    for (i, node) in graph.nodes.iter().enumerate() {
+        if node.op.is_elementwise() && node.outputs.len() == 1 {
+            links.insert(node.outputs[0], (i, 0));
+        }
+    }
+    for node in &graph.nodes {
+        for k in &node.inputs {
+            if let Some(link) = links.get_mut(k) {
+                link.1 += 1;
             }
         }
-        // find one fusable edge u -> v
-        let mut fuse_pair: Option<(usize, usize)> = None;
-        'search: for (vi, v) in graph.nodes.iter().enumerate() {
-            if !v.op.is_elementwise() || v.inputs.len() != 1 {
-                continue;
-            }
-            let k = v.inputs[0];
-            if protected.contains(&k) {
-                continue;
-            }
-            let Some(&ui) = producers.get(&k) else {
-                continue;
-            };
-            let u = &graph.nodes[ui];
-            if !u.op.is_elementwise() || u.outputs.len() != 1 {
-                continue;
-            }
-            // u's sole consumer must be v
-            if consumers.get(&k).map(|c| c.len()) != Some(1) {
-                continue;
-            }
-            // same family (df with df, arr with arr)
-            match (&u.op, &v.op) {
-                (ChunkOp::DfMap(_), ChunkOp::DfMap(_))
-                | (ChunkOp::ArrMap(_), ChunkOp::ArrMap(_)) => {
-                    fuse_pair = Some((ui, vi));
-                    break 'search;
-                }
-                _ => {}
-            }
+    }
+
+    let mut dead = vec![false; graph.nodes.len()];
+    for vi in 0..graph.nodes.len() {
+        let v = &graph.nodes[vi];
+        if !v.op.is_elementwise() || v.inputs.len() != 1 || protected.contains(&v.inputs[0]) {
+            continue;
         }
-        let Some((ui, vi)) = fuse_pair else {
-            return eliminated;
+        let Some(&(ui, 1)) = links.get(&v.inputs[0]) else {
+            continue;
         };
-        // merge u into v
-        let u = graph.nodes[ui].clone();
-        let v = &mut graph.nodes[vi];
-        v.inputs = u.inputs.clone();
-        v.op = match (&u.op, &v.op) {
+        debug_assert!(ui < vi, "chunk graph is not topological");
+        let (head, tail) = graph.nodes.split_at_mut(vi);
+        let (u, v) = (&mut head[ui], &mut tail[0]);
+        match (&mut u.op, &mut v.op) {
             (ChunkOp::DfMap(a), ChunkOp::DfMap(b)) => {
-                let mut steps = a.clone();
-                steps.extend(b.clone());
-                ChunkOp::DfMap(steps)
+                a.append(b);
+                std::mem::swap(a, b);
             }
             (ChunkOp::ArrMap(a), ChunkOp::ArrMap(b)) => {
-                let mut steps = a.clone();
-                steps.extend(b.clone());
-                ChunkOp::ArrMap(steps)
+                a.append(b);
+                std::mem::swap(a, b);
             }
-            _ => unreachable!("checked in search"),
-        };
-        graph.nodes.remove(ui);
-        eliminated += 1;
+            _ => continue,
+        }
+        v.inputs = std::mem::take(&mut u.inputs);
+        dead[ui] = true;
     }
+
+    let before = graph.nodes.len();
+    let mut i = 0;
+    graph.nodes.retain(|_| {
+        i += 1;
+        !dead[i - 1]
+    });
+    before - graph.nodes.len()
 }
 
 #[cfg(test)]

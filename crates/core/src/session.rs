@@ -310,7 +310,7 @@ impl<E: Executor> Session<E> {
                     // protect them all from fusion elimination
                     let protected = tiler.live_keys();
                     let sg = trace::timed(trace::Stage::Build, "build_subtasks", || {
-                        optimizer::build_subtask_graph(g, &cfg, &protected)
+                        optimizer::build_subtask_graph(g, &cfg, protected)
                     });
                     let s = trace::timed(trace::Stage::Execute, "execute", || {
                         inner.executor.execute(&sg)
@@ -336,7 +336,7 @@ impl<E: Executor> Session<E> {
                             final_keys.iter().copied().collect()
                         };
                         let sg = trace::timed(trace::Stage::Build, "build_subtasks", || {
-                            optimizer::build_subtask_graph(g, &cfg, &protected)
+                            optimizer::build_subtask_graph(g, &cfg, protected)
                         });
                         let s = trace::timed(trace::Stage::Execute, "execute", || {
                             inner.executor.execute(&sg)

@@ -4,9 +4,9 @@
 //! on one band (§III-C): intermediates inside a subtask never touch the
 //! storage service, and the scheduler assigns whole subtasks to bands.
 
-use crate::chunk::{ChunkGraph, ChunkKey};
+use crate::chunk::{Adjacency, ChunkGraph, ChunkKey, Csr};
 use crate::error::{XbError, XbResult};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// One fused execution unit.
 #[derive(Debug, Clone)]
@@ -37,97 +37,146 @@ pub struct SubtaskGraph {
     pub retained: HashSet<ChunkKey>,
 }
 
-impl SubtaskGraph {
-    /// Builds a subtask graph from a chunk graph and a node→group
-    /// assignment (`groups[i]` = group id of chunk node `i`). `protected`
-    /// keys are always published. Validates that the quotient graph is
-    /// acyclic and groups are topologically orderable.
-    pub fn from_groups(
-        chunks: ChunkGraph,
-        groups: &[usize],
-        protected: &HashSet<ChunkKey>,
-    ) -> XbResult<SubtaskGraph> {
-        assert_eq!(groups.len(), chunks.nodes.len());
-        let producers = chunks.producers();
+/// A node→group assignment checked against a chunk graph: the groups in
+/// the order they become subtasks. Building one validates that the
+/// quotient graph is acyclic, before anything takes the chunk graph.
+#[derive(Debug, Clone)]
+pub struct GroupOrder {
+    /// Dense index of each node's group, numbered by first member.
+    group_of: Vec<u32>,
+    /// Members of each dense group, ascending.
+    members: Csr,
+    /// Dense groups in subtask order.
+    order: Vec<u32>,
+}
 
-        // collect group members in node order (already topological)
-        let mut members: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, &g) in groups.iter().enumerate() {
-            members.entry(g).or_default().push(i);
+impl GroupOrder {
+    /// Orders the groups of `groups` (`groups[i]` = group id of node `i`)
+    /// topologically: Kahn's algorithm over the quotient graph, always
+    /// taking the ready group whose first member is latest. Group ids
+    /// index a dense table, so they should be small (coloring's are below
+    /// the node count plus the edge count). Errors when the quotient graph
+    /// has a cycle.
+    pub fn new(adj: &Adjacency, groups: &[usize]) -> XbResult<GroupOrder> {
+        let n_nodes = adj.nodes();
+        assert_eq!(groups.len(), n_nodes);
+        let mut dense = vec![u32::MAX; groups.iter().max().map_or(0, |&g| g + 1)];
+        let mut group_of = Vec::with_capacity(n_nodes);
+        let mut n = 0u32;
+        for &g in groups {
+            if dense[g] == u32::MAX {
+                dense[g] = n;
+                n += 1;
+            }
+            group_of.push(dense[g]);
         }
+        let n = n as usize;
 
-        // quotient edges for ordering/cycle detection
-        let mut group_ids: Vec<usize> = members.keys().copied().collect();
-        group_ids.sort_by_key(|g| members[g][0]);
-        let gindex: HashMap<usize, usize> =
-            group_ids.iter().enumerate().map(|(i, &g)| (g, i)).collect();
-        let n = group_ids.len();
-        let mut succs: Vec<HashSet<usize>> = vec![HashSet::new(); n];
+        // members per group, in node order (already topological)
+        let members = Csr::from_pairs(
+            n,
+            group_of
+                .iter()
+                .enumerate()
+                .map(|(i, &g)| (g as usize, i as u32)),
+        );
+
+        // distinct quotient edges, found per consumer group with a stamp
+        let mut stamp = vec![u32::MAX; n];
+        let mut edges: Vec<(usize, u32)> = Vec::new();
         let mut indeg = vec![0usize; n];
-        for (ci, node) in chunks.nodes.iter().enumerate() {
-            for k in &node.inputs {
-                if let Some(&pi) = producers.get(k) {
-                    let (gp, gc) = (gindex[&groups[pi]], gindex[&groups[ci]]);
-                    if gp != gc && succs[gp].insert(gc) {
-                        indeg[gc] += 1;
+        for (gc, deg) in indeg.iter_mut().enumerate() {
+            for &ci in members.row(gc) {
+                for pi in adj.input_producers(ci as usize).flatten() {
+                    let gp = group_of[pi];
+                    if gp as usize != gc && stamp[gp as usize] != gc as u32 {
+                        stamp[gp as usize] = gc as u32;
+                        edges.push((gp as usize, gc as u32));
+                        *deg += 1;
                     }
                 }
             }
         }
-        // Kahn topological sort of groups
+        let succs = Csr::from_pairs(n, edges.iter().copied());
+
+        // Kahn topological sort of groups, largest ready group first
         let mut order = Vec::with_capacity(n);
-        let mut ready: Vec<usize> = (0..n).filter(|&g| indeg[g] == 0).collect();
-        ready.sort_unstable();
+        let mut ready: BinaryHeap<u32> =
+            (0..n as u32).filter(|&g| indeg[g as usize] == 0).collect();
         while let Some(g) = ready.pop() {
             order.push(g);
-            let mut next: Vec<usize> = Vec::new();
-            for &s in &succs[g] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    next.push(s);
+            for &s in succs.row(g as usize) {
+                indeg[s as usize] -= 1;
+                if indeg[s as usize] == 0 {
+                    ready.push(s);
                 }
             }
-            next.sort_unstable();
-            ready.extend(next);
-            ready.sort_unstable();
         }
         if order.len() != n {
             return Err(XbError::Plan(
                 "fusion produced a cyclic subtask graph".into(),
             ));
         }
+        Ok(GroupOrder {
+            group_of,
+            members,
+            order,
+        })
+    }
 
-        // consumers per key (for publish decisions)
-        let mut consumed_by: HashMap<ChunkKey, Vec<usize>> = HashMap::new();
-        for (ci, node) in chunks.nodes.iter().enumerate() {
-            for k in &node.inputs {
-                consumed_by.entry(*k).or_default().push(ci);
+    /// One group per node: the grouping when fusion is off, and the
+    /// fallback when a fused grouping is cyclic.
+    pub fn singletons(adj: &Adjacency) -> GroupOrder {
+        let groups: Vec<usize> = (0..adj.nodes()).collect();
+        GroupOrder::new(adj, &groups).expect("singleton grouping is always acyclic")
+    }
+
+    /// Builds the subtask graph: one subtask per group, in order. A key is
+    /// published when it is protected, has no consumer, or has a consumer
+    /// outside its producer's group; otherwise it stays internal.
+    pub fn build(
+        &self,
+        chunks: ChunkGraph,
+        adj: &Adjacency,
+        protected: HashSet<ChunkKey>,
+    ) -> SubtaskGraph {
+        // per output id: 0 = unread, 1 = read only inside its producer's
+        // group, 2 = read from another group
+        let mut reach = vec![0u8; adj.produced_keys()];
+        for ci in 0..adj.nodes() {
+            for &k in adj.inputs(ci) {
+                if let Some(pi) = adj.producer(k) {
+                    let r = &mut reach[k as usize];
+                    if self.group_of[pi] != self.group_of[ci] {
+                        *r = 2;
+                    } else if *r == 0 {
+                        *r = 1;
+                    }
+                }
             }
         }
 
-        let mut subtasks = Vec::with_capacity(n);
-        for &gq in &order {
-            let g = group_ids[gq];
-            let nodes = members[&g].clone();
-            let node_set: HashSet<usize> = nodes.iter().copied().collect();
+        let mut seen = vec![u32::MAX; adj.keys()];
+        let mut subtasks = Vec::with_capacity(self.order.len());
+        for (si, &g) in self.order.iter().enumerate() {
+            let g = g as usize;
+            let nodes: Vec<usize> = self.members.row(g).iter().map(|&i| i as usize).collect();
             let mut external_inputs = Vec::new();
             let mut published = Vec::new();
             let mut internal = Vec::new();
-            let mut seen_inputs = HashSet::new();
             for &ni in &nodes {
-                for k in &chunks.nodes[ni].inputs {
-                    let internal_producer =
-                        producers.get(k).is_some_and(|pi| node_set.contains(pi));
-                    if !internal_producer && seen_inputs.insert(*k) {
+                let node = &chunks.nodes[ni];
+                for (k, &id) in node.inputs.iter().zip(adj.inputs(ni)) {
+                    let internal_producer = adj
+                        .producer(id)
+                        .is_some_and(|pi| self.group_of[pi] as usize == g);
+                    if !internal_producer && seen[id as usize] != si as u32 {
+                        seen[id as usize] = si as u32;
                         external_inputs.push(*k);
                     }
                 }
-                for k in &chunks.nodes[ni].outputs {
-                    let all_internal = consumed_by
-                        .get(k)
-                        .map(|cs| cs.iter().all(|c| node_set.contains(c)))
-                        .unwrap_or(false);
-                    if protected.contains(k) || !all_internal {
+                for (k, id) in node.outputs.iter().zip(adj.outputs(ni)) {
+                    if reach[id] != 1 || protected.contains(k) {
                         published.push(*k);
                     } else {
                         internal.push(*k);
@@ -141,18 +190,33 @@ impl SubtaskGraph {
                 internal_keys: internal,
             });
         }
-        Ok(SubtaskGraph {
+        SubtaskGraph {
             chunks,
             subtasks,
-            retained: protected.clone(),
-        })
+            retained: protected,
+        }
+    }
+}
+
+impl SubtaskGraph {
+    /// Builds a subtask graph from a chunk graph and a node→group
+    /// assignment (`groups[i]` = group id of chunk node `i`). `protected`
+    /// keys are always published. Validates that the quotient graph is
+    /// acyclic and groups are topologically orderable.
+    pub fn from_groups(
+        chunks: ChunkGraph,
+        groups: &[usize],
+        protected: HashSet<ChunkKey>,
+    ) -> XbResult<SubtaskGraph> {
+        let adj = Adjacency::new(&chunks);
+        let order = GroupOrder::new(&adj, groups)?;
+        Ok(order.build(chunks, &adj, protected))
     }
 
     /// One subtask per node (fusion disabled).
-    pub fn singletons(chunks: ChunkGraph, protected: &HashSet<ChunkKey>) -> SubtaskGraph {
-        let groups: Vec<usize> = (0..chunks.nodes.len()).collect();
-        SubtaskGraph::from_groups(chunks, &groups, protected)
-            .expect("singleton grouping is always acyclic")
+    pub fn singletons(chunks: ChunkGraph, protected: HashSet<ChunkKey>) -> SubtaskGraph {
+        let adj = Adjacency::new(&chunks);
+        GroupOrder::singletons(&adj).build(chunks, &adj, protected)
     }
 
     /// Minimal set of subtask indices that must re-run to rematerialize
@@ -233,7 +297,7 @@ mod tests {
     fn fused_chain_hides_intermediates() {
         let (g, keys) = chain_graph(3);
         let protected: HashSet<_> = [keys[2]].into_iter().collect();
-        let sg = SubtaskGraph::from_groups(g, &[0, 0, 0], &protected).unwrap();
+        let sg = SubtaskGraph::from_groups(g, &[0, 0, 0], protected).unwrap();
         assert_eq!(sg.len(), 1);
         let st = &sg.subtasks[0];
         assert!(st.external_inputs.is_empty());
@@ -245,7 +309,7 @@ mod tests {
     fn singleton_publishes_everything_consumed() {
         let (g, keys) = chain_graph(2);
         let protected: HashSet<_> = [keys[1]].into_iter().collect();
-        let sg = SubtaskGraph::singletons(g, &protected);
+        let sg = SubtaskGraph::singletons(g, protected);
         assert_eq!(sg.len(), 2);
         assert_eq!(sg.subtasks[0].published_outputs, vec![keys[0]]);
         assert_eq!(sg.subtasks[1].external_inputs, vec![keys[0]]);
@@ -256,7 +320,7 @@ mod tests {
         // a -> b -> c with a and c in one group but b in another would be
         // cyclic in the quotient graph
         let (g, _keys) = chain_graph(3);
-        let r = SubtaskGraph::from_groups(g, &[0, 1, 0], &HashSet::new());
+        let r = SubtaskGraph::from_groups(g, &[0, 1, 0], HashSet::new());
         assert!(r.is_err());
     }
 
@@ -265,7 +329,7 @@ mod tests {
         // chain k0 -> k1 -> k2 -> k3, one subtask per node
         let (g, keys) = chain_graph(4);
         let protected: HashSet<_> = keys.iter().copied().collect();
-        let sg = SubtaskGraph::singletons(g, &protected);
+        let sg = SubtaskGraph::singletons(g, protected);
         // everything available: nothing to recompute
         assert_eq!(
             sg.ancestor_closure(&[keys[3]], &|_| true).unwrap(),
@@ -291,7 +355,7 @@ mod tests {
     fn groups_ordered_topologically() {
         let (g, keys) = chain_graph(4);
         let protected: HashSet<_> = [keys[3]].into_iter().collect();
-        let sg = SubtaskGraph::from_groups(g, &[1, 1, 0, 0], &protected).unwrap();
+        let sg = SubtaskGraph::from_groups(g, &[1, 1, 0, 0], protected).unwrap();
         assert_eq!(sg.len(), 2);
         // first subtask must be the producer group
         assert_eq!(sg.subtasks[0].nodes, vec![0, 1]);

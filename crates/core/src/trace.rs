@@ -893,17 +893,31 @@ impl TraceLog {
         busy
     }
 
-    /// Latest span end (`ts + dur`) per process, used as the utilization
-    /// denominator for virtual-cluster tracks.
-    pub fn span_horizon(&self, pid: u32) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| e.track.pid == pid)
-            .filter_map(|e| match e.kind {
-                EventKind::Span { dur } => Some(e.ts + dur),
-                _ => None,
-            })
-            .fold(0.0, f64::max)
+    /// Virtual-time horizon of each fetch on process `pid`: the latest span
+    /// end (`ts + dur`) among the spans recorded since the previous fetch's
+    /// driver-side `gather` span. A fetch ends by clearing its executor,
+    /// which restarts the virtual clock, so the fetches of a multi-fetch
+    /// trace overlap on the virtual axis: the cluster's running time is the
+    /// sum of these horizons, not the latest span end overall. Fetches with
+    /// no span on `pid` are skipped.
+    pub fn fetch_horizons(&self, pid: u32) -> Vec<f64> {
+        let mut horizons = Vec::new();
+        let mut current = 0.0f64;
+        for e in &self.events {
+            let EventKind::Span { dur } = e.kind else {
+                continue;
+            };
+            if e.track.pid == pid {
+                current = current.max(e.ts + dur);
+            } else if e.track == Track::DRIVER && e.stage == Stage::Gather && current > 0.0 {
+                horizons.push(current);
+                current = 0.0;
+            }
+        }
+        if current > 0.0 {
+            horizons.push(current);
+        }
+        horizons
     }
 }
 
@@ -1149,6 +1163,23 @@ mod tests {
         let busy = log.busy_seconds();
         assert_eq!(busy[&(1, 0)], 2.0);
         assert_eq!(busy[&(1, 1)], 0.5);
-        assert_eq!(log.span_horizon(1), 3.0);
+        assert_eq!(log.fetch_horizons(1), vec![3.0]);
+    }
+
+    #[test]
+    fn fetch_horizons_split_at_gather() {
+        reset();
+        enable(16);
+        span_at(Stage::Execute, "a", Track::band(0), 0.0, 4.0, &[]);
+        span_at(Stage::Gather, "gather", Track::DRIVER, 9.0, 0.1, &[]);
+        // the next fetch restarts the virtual clock
+        span_at(Stage::Execute, "b", Track::band(0), 0.0, 1.0, &[]);
+        span_at(Stage::Execute, "c", Track::band(1), 0.5, 1.5, &[]);
+        span_at(Stage::Gather, "gather", Track::DRIVER, 9.5, 0.1, &[]);
+        // a fetch served without the cluster adds nothing
+        span_at(Stage::Gather, "gather", Track::DRIVER, 9.7, 0.1, &[]);
+        let log = disable().unwrap();
+        assert_eq!(log.fetch_horizons(1), vec![4.0, 2.0]);
+        assert!(log.fetch_horizons(2).is_empty());
     }
 }

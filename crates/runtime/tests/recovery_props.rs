@@ -67,7 +67,7 @@ fn arb_graph(rng: &mut Xoshiro256) -> SubtaskGraph {
         keys.push(k);
     }
     let protected: HashSet<ChunkKey> = keys.iter().copied().collect();
-    SubtaskGraph::singletons(g, &protected)
+    SubtaskGraph::singletons(g, protected)
 }
 
 fn fetch_all(ex: &SimExecutor, graph: &SubtaskGraph) -> HashMap<ChunkKey, DataFrame> {

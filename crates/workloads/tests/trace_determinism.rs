@@ -15,6 +15,7 @@ use xorbits_core::config::XorbitsConfig;
 use xorbits_core::session::Session;
 use xorbits_core::trace::{self, TraceLog};
 use xorbits_runtime::{ClusterSpec, FaultKind, FaultPlan, FaultTrigger, RetryPolicy, SimExecutor};
+use xorbits_workloads::harness::run_tpch_once;
 use xorbits_workloads::tpch::{run_query_on, TpchData};
 
 const WORKERS: usize = 4;
@@ -162,6 +163,57 @@ fn disabled_tracing_records_nothing_during_a_run() {
         .expect("untraced run");
     assert!(!trace::is_enabled());
     assert!(trace::disable().is_none(), "no recorder should exist");
+}
+
+/// Per-band utilization must read as a share of the cluster's running
+/// time on a multi-fetch trace: every fetch restarts the virtual clock, so
+/// busy time summed over the 22 queries is measured against the sum of the
+/// fetches' horizons, and no band can exceed 100%.
+#[test]
+fn utilization_stays_within_bounds_on_a_22_query_trace() {
+    let _ = trace::disable();
+    trace::enable(1 << 20);
+    // the paper's setting (Xorbits profile on 16 workers), as the
+    // wall-clock bench runs it: one fresh engine per query
+    let data = TpchData::new(10.0).expect("tpch data");
+    let cluster = ClusterSpec::new(16, 36 << 20);
+    for q in 1..=22 {
+        let rec = run_tpch_once(EngineKind::Xorbits, &cluster, &data, q);
+        assert!(rec.error.is_empty(), "Q{q} failed: {}", rec.error);
+    }
+    let log = trace::disable().expect("recorder was enabled");
+    assert!(log.dropped == 0, "ring too small: {} dropped", log.dropped);
+    let fetches = log.fetch_horizons(1);
+    assert!(fetches.len() >= 22, "{} fetches", fetches.len());
+
+    let text = xorbits_core::explain::explain_utilization(&log);
+    let shares: Vec<f64> = text
+        .lines()
+        .filter_map(|l| {
+            l.rsplit_once('(')?
+                .1
+                .strip_suffix("%)")?
+                .trim()
+                .parse()
+                .ok()
+        })
+        .collect();
+    assert!(!shares.is_empty(), "no band lines:\n{text}");
+    for share in &shares {
+        assert!(
+            (0.0..=100.0).contains(share),
+            "band outside [0, 100]%:\n{text}"
+        );
+    }
+    // the trace is one where a single fetch's horizon is the wrong
+    // denominator: some band is busy for longer than the longest fetch
+    let longest = fetches.iter().copied().fold(0.0, f64::max);
+    assert!(
+        log.busy_seconds()
+            .iter()
+            .any(|(&(pid, _), &busy)| pid == 1 && busy > longest),
+        "no band outlasts one fetch:\n{text}"
+    );
 }
 
 /// A minimal recursive-descent JSON parser — the workspace is

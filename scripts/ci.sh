@@ -87,6 +87,19 @@ cargo test -q --release -p xorbits-core --test retile_props
 echo "==> parallel-equivalence matrix (work stealing at 4 threads, 1/2/4/8-thread sweep)"
 XORBITS_THREADS=4 cargo test -q --release --test parallel_equivalence
 
+# Graph-compilation gates (hard): operator fusion, coloring and the subtask
+# build must reproduce the previous (map-rebuilding) implementations exactly
+# on 512 seeded random chunk graphs — fused nodes and steps, colors and
+# every subtask field, cyclic-grouping errors included — and compiling an
+# all-to-all shuffle at 16x the edges (P=64 -> P=256) may cost at most 2x
+# the nanoseconds per edge. The growth gate compares the host with itself,
+# so it holds on any box; it runs in release builds only.
+echo "==> compile-pass equivalence vs frozen reference (random chunk graphs)"
+cargo test -q --release -p xorbits-core --test compile_equivalence
+
+echo "==> compile growth gate (ns/edge at P=256 vs P=64, <= 2x)"
+cargo test -q --release -p xorbits-core --test compile_growth
+
 # Tracing gates (hard): same-seed fault runs must replay to byte-identical
 # trace logs (virtual-clock content only — host timestamps are excluded by
 # deterministic_lines), and the Chrome trace-event export must be valid
