@@ -82,10 +82,12 @@ pub fn trace_init_from_env() {
 
 /// Applies the `XORBITS_THREADS` knob process-wide and returns the
 /// resolved worker count (default: available parallelism). Morsel kernels
-/// (`xorbits_dataframe::par`) pick it up immediately; pass the returned
-/// count to [`xorbits_core::ParallelExecutor::with_threads`] (or set
-/// `XorbitsConfig::threads`) for subtask-level parallelism. Call at the
-/// top of every bench `main`, mirroring [`trace_init_from_env`].
+/// (`xorbits_dataframe::par`) pick it up immediately, until a host
+/// executor's `execute` sets them to its own worker count; pass the returned
+/// count to [`xorbits_core::ParallelExecutor::with_threads`] for
+/// subtask-level parallelism (executors never read the knob, and
+/// `XorbitsConfig::threads` is only a record). Call at the top of every
+/// bench `main`, mirroring [`trace_init_from_env`].
 pub fn threads_init_from_env() -> usize {
     let t = xorbits_core::threads_from_env();
     xorbits_dataframe::par::set_kernel_threads(t);
@@ -94,12 +96,12 @@ pub fn threads_init_from_env() -> usize {
 
 /// Resolves the `XORBITS_ENCODING` knob (`plain` / `auto`, default
 /// `auto`) and returns the chunk-transport mode this process will use.
-/// [`xorbits_storage::StorageConfig`] and
-/// [`xorbits_runtime::ClusterSpec`] already read the same knob at
-/// construction time, so nothing needs the returned value to behave
-/// correctly — call this at the top of every bench `main` (mirroring
-/// [`threads_init_from_env`]) to surface the mode in the run's output so
-/// v1-vs-v2 A/B results are labelled.
+/// Call this at the top of every bench `main` (mirroring
+/// [`threads_init_from_env`]) to label v1-vs-v2 A/B results. Storage is
+/// configured by its constructor and reads no environment: a bench that
+/// spills must pass the returned mode as
+/// [`xorbits_storage::StorageConfig::encoding`]. Only
+/// [`xorbits_runtime::ClusterSpec::new`] still reads the knob itself.
 pub fn encoding_init_from_env() -> xorbits_storage::EncodingMode {
     xorbits_storage::encoding_from_env()
 }

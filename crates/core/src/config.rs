@@ -52,17 +52,16 @@ pub struct XorbitsConfig {
     /// materialised frame the driver holds, as with Modin on Ray's object
     /// store), so nothing is reclaimed mid-run.
     pub eager_memory: bool,
-    /// Worker threads for host execution (the
-    /// [`ParallelExecutor`](crate::parallel::ParallelExecutor) pool and the
-    /// morsel kernels). 0 = resolve from the `XORBITS_THREADS` env knob,
-    /// falling back to the host's available parallelism
-    /// ([`crate::parallel::threads_from_env`]).
+    /// Host worker-thread count a binary chose for this run (0 = unset).
+    /// A record for the binary's own reporting: the engine does not read
+    /// it. The pool size is whatever the executor was built with
+    /// ([`ParallelExecutor::with_threads`](crate::parallel::ParallelExecutor::with_threads)).
     pub threads: usize,
-    /// Chunk-transport encoding for spill files and the simulator's cost
-    /// model. `None` = resolve from the `XORBITS_ENCODING` env knob
-    /// (`plain` / `auto`, default `auto`), mirroring the
-    /// [`Self::threads`] / `XORBITS_THREADS` pattern so v1-vs-v2 A/B runs
-    /// need no rebuild.
+    /// Chunk-transport encoding a binary chose for this run (`None` =
+    /// unset). A record for the binary's own reporting: the engine does not
+    /// read it. Spill files use
+    /// [`StorageConfig::encoding`](xorbits_storage::StorageConfig::encoding)
+    /// and the simulator its `ClusterSpec::encoding`.
     pub encoding: Option<EncodingMode>,
 }
 
@@ -107,35 +106,16 @@ impl XorbitsConfig {
         self
     }
 
-    /// Pins the host worker-thread count (overriding `XORBITS_THREADS`).
+    /// Records the host worker-thread count (see [`Self::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// The effective worker-thread count: the explicit [`Self::threads`]
-    /// when nonzero, otherwise the `XORBITS_THREADS` env knob / host
-    /// parallelism via [`crate::parallel::threads_from_env`].
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            crate::parallel::threads_from_env()
-        }
-    }
-
-    /// Pins the chunk-transport encoding (overriding `XORBITS_ENCODING`).
+    /// Records the chunk-transport encoding (see [`Self::encoding`]).
     pub fn with_encoding(mut self, encoding: EncodingMode) -> Self {
         self.encoding = Some(encoding);
         self
-    }
-
-    /// The effective transport encoding: the explicit [`Self::encoding`]
-    /// when set, otherwise the `XORBITS_ENCODING` env knob via
-    /// [`xorbits_storage::encoding_from_env`].
-    pub fn effective_encoding(&self) -> EncodingMode {
-        self.encoding
-            .unwrap_or_else(xorbits_storage::encoding_from_env)
     }
 }
 
@@ -173,27 +153,5 @@ mod tests {
             .without_graph_fusion()
             .without_op_fusion();
         assert!(!c.graph_fusion && !c.op_fusion && c.dynamic_tiling);
-    }
-
-    #[test]
-    fn thread_knob_resolution() {
-        assert_eq!(
-            XorbitsConfig::default().with_threads(3).effective_threads(),
-            3
-        );
-        // 0 resolves through the env/host fallback, which is always ≥ 1
-        assert!(XorbitsConfig::default().effective_threads() >= 1);
-    }
-
-    #[test]
-    fn encoding_knob_resolution() {
-        assert_eq!(
-            XorbitsConfig::default()
-                .with_encoding(EncodingMode::Plain)
-                .effective_encoding(),
-            EncodingMode::Plain
-        );
-        // None resolves through the env fallback (plain or auto either way)
-        let _ = XorbitsConfig::default().effective_encoding();
     }
 }

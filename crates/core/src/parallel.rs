@@ -1,7 +1,9 @@
-//! Work-stealing multi-core executor: runs a subtask graph's independent
-//! subtasks concurrently on a pool of scoped threads, with results
-//! **bit-identical** to [`LocalExecutor`](crate::local::LocalExecutor)
-//! regardless of thread count or steal order.
+//! The host executor: runs a subtask graph's subtasks on a pool of
+//! scoped threads with work stealing, with results **bit-identical** to
+//! its own sequential configuration regardless of thread count or steal
+//! order. [`LocalExecutor`](crate::local::LocalExecutor) is that
+//! sequential configuration under another name: every constructor that
+//! takes no thread count builds one worker.
 //!
 //! # Topology
 //!
@@ -33,10 +35,20 @@
 //! gates this with all 22 TPC-H queries at 1/2/4/8 threads against the
 //! `LocalExecutor` oracle.
 //!
-//! With `threads == 1` the executor skips the pool entirely and runs the
-//! same sequential loop as `LocalExecutor` — no queues, no parking, no
-//! atomics on the hot path — so a single-thread `ParallelExecutor` stays
-//! within noise of the single-threaded baseline.
+//! With `threads == 1` the executor never builds the pool: it runs the
+//! subtasks in graph order on the calling thread — no queues, no parking,
+//! no atomics on the hot path. That in-order loop is the oracle the pool
+//! is checked against, and `run_subtask` is the only subtask loop either
+//! path runs.
+//!
+//! # Configuration
+//!
+//! The executor reads no environment: worker count and re-tiling mode
+//! come from its constructor ([`ParallelExecutor::with_threads`],
+//! [`ParallelExecutor::with_retile`]). Binaries that want the
+//! `XORBITS_THREADS` / `XORBITS_RETILE` knobs resolve them with
+//! [`threads_from_env`] / [`crate::retile::retile_from_env`] and pass the
+//! result in.
 
 use crate::chunk::{payload_to_value, value_to_payload, ChunkKey, ChunkMeta, Payload};
 use crate::error::{XbError, XbResult};
@@ -54,8 +66,8 @@ use xorbits_storage::{SpillConfig, StorageConfig, StorageMetrics, StorageService
 
 /// Reads the `XORBITS_THREADS` knob: a positive integer forces that many
 /// workers, anything else (or unset) means the host's available
-/// parallelism. This is the default thread count of [`ParallelExecutor`]
-/// and of every `bench_*` target.
+/// parallelism. Binaries call it at their edge and pass the count to
+/// [`ParallelExecutor::with_threads`]; the executor itself never reads it.
 pub fn threads_from_env() -> usize {
     std::env::var("XORBITS_THREADS")
         .ok()
@@ -68,19 +80,20 @@ pub fn threads_from_env() -> usize {
         })
 }
 
-/// Multi-core executor over a thread-safe [`StorageService`]; drop-in for
-/// [`LocalExecutor`](crate::local::LocalExecutor) with identical results.
+/// The host executor over a thread-safe [`StorageService`]. Results are
+/// identical at every worker count; one worker is the
+/// [`LocalExecutor`](crate::local::LocalExecutor) oracle.
 pub struct ParallelExecutor {
     service: StorageService,
     metas: Mutex<HashMap<ChunkKey, ChunkMeta>>,
     threads: usize,
     /// One reusable encode/decode workspace per pool worker (index =
-    /// worker id; the sequential fast path uses slot 0). Persisted across
+    /// worker id; the sequential path uses slot 0). Persisted across
     /// `execute` calls so steady-state spill and read-back run through
     /// warm chunkfmt-v2 buffers instead of allocating per chunk.
     worker_ws: Vec<Mutex<Workspaces>>,
-    /// Mid-run skew-aware re-tiling; `None` defers to `XORBITS_RETILE`.
-    retile: Option<RetileMode>,
+    /// Mid-run skew-aware re-tiling.
+    retile: RetileMode,
 }
 
 impl Default for ParallelExecutor {
@@ -90,9 +103,9 @@ impl Default for ParallelExecutor {
 }
 
 impl ParallelExecutor {
-    /// Unbounded executor with [`threads_from_env`] workers.
+    /// Unbounded sequential executor (one worker).
     pub fn new() -> ParallelExecutor {
-        ParallelExecutor::with_threads(threads_from_env())
+        ParallelExecutor::with_threads(1)
     }
 
     /// Unbounded executor with an explicit worker count (≥ 1).
@@ -100,22 +113,20 @@ impl ParallelExecutor {
         ParallelExecutor::build(StorageService::unbounded(), threads)
     }
 
-    /// Budgeted executor with **no** disk tier (over budget = OOM), with
-    /// [`threads_from_env`] workers.
+    /// Sequential executor with a single-node memory budget and **no**
+    /// disk tier: exceeding the budget is an immediate OOM (models a single
+    /// pandas process).
     pub fn with_budget(bytes: usize) -> ParallelExecutor {
-        ParallelExecutor::build(
-            StorageService::new(StorageConfig {
-                memory_budget: Some(bytes),
-                spill: SpillConfig::Disabled,
-                ..Default::default()
-            })
-            .expect("no io in a memory-only config"),
-            threads_from_env(),
-        )
+        ParallelExecutor::with_storage(StorageConfig {
+            memory_budget: Some(bytes),
+            spill: SpillConfig::Disabled,
+            ..Default::default()
+        })
+        .expect("no io in a memory-only config")
     }
 
-    /// Budgeted executor with a temp-dir disk tier, with
-    /// [`threads_from_env`] workers.
+    /// Sequential executor with a memory budget *and* a temp-dir disk
+    /// tier: going over budget spills cold chunks instead of failing.
     pub fn with_budget_and_spill(bytes: usize) -> XbResult<ParallelExecutor> {
         ParallelExecutor::with_storage(StorageConfig {
             memory_budget: Some(bytes),
@@ -124,10 +135,9 @@ impl ParallelExecutor {
         })
     }
 
-    /// Executor over an arbitrary storage configuration, with
-    /// [`threads_from_env`] workers.
+    /// Sequential executor over an arbitrary storage configuration.
     pub fn with_storage(config: StorageConfig) -> XbResult<ParallelExecutor> {
-        ParallelExecutor::with_storage_and_threads(config, threads_from_env())
+        ParallelExecutor::with_storage_and_threads(config, 1)
     }
 
     /// Executor over an arbitrary storage configuration and worker count.
@@ -150,13 +160,13 @@ impl ParallelExecutor {
             worker_ws: (0..threads)
                 .map(|_| Mutex::new(Workspaces::default()))
                 .collect(),
-            retile: None,
+            retile: RetileMode::Off,
         }
     }
 
-    /// Forces the re-tiling mode instead of reading `XORBITS_RETILE`.
+    /// Sets the re-tiling mode (default [`RetileMode::Off`]).
     pub fn with_retile(mut self, mode: RetileMode) -> ParallelExecutor {
-        self.retile = Some(mode);
+        self.retile = mode;
         self
     }
 
@@ -175,7 +185,7 @@ impl ParallelExecutor {
         self.service.metrics()
     }
 
-    fn store(
+    pub(crate) fn store(
         &self,
         key: ChunkKey,
         payload: Payload,
@@ -193,10 +203,10 @@ impl ParallelExecutor {
     }
 
     /// Runs one subtask: pin inputs, execute its fused nodes in order,
-    /// publish outputs, unpin. Byte-for-byte the `LocalExecutor` inner
-    /// loop, shared by the sequential path and every pool worker — each
-    /// caller passes its own [`Workspaces`] so spill and read-back on this
-    /// worker's chunks reuse warmed encode/decode buffers.
+    /// publish outputs, unpin. The one host subtask loop, shared by the
+    /// sequential path and every pool worker — each caller passes its own
+    /// [`Workspaces`] so spill and read-back on this worker's chunks reuse
+    /// warmed encode/decode buffers.
     fn run_subtask(&self, graph: &SubtaskGraph, sti: usize, ws: &mut Workspaces) -> XbResult<()> {
         let st = &graph.subtasks[sti];
         let _st_span = if trace::is_enabled() {
@@ -331,7 +341,7 @@ impl ParallelExecutor {
             return Ok(0.0);
         }
         if self.threads <= 1 || hi - lo <= 1 {
-            // sequential fast path: the LocalExecutor loop, no pool at all
+            // sequential path: graph order on this thread, no pool at all
             let start = Instant::now();
             let mut ws = self.worker_ws[0].lock().unwrap();
             for sti in lo..hi {
@@ -565,8 +575,7 @@ impl Executor for ParallelExecutor {
         xorbits_dataframe::par::set_kernel_threads(self.threads);
         let start = Instant::now();
         let before = self.service.metrics();
-        let mode = self.retile.unwrap_or_else(crate::retile::retile_from_env);
-        let (busy_seconds, subtasks, retiled) = if mode == RetileMode::Auto {
+        let (busy_seconds, subtasks, retiled) = if self.retile == RetileMode::Auto {
             self.execute_retiled(graph)?
         } else {
             let n = graph.subtasks.len();
@@ -697,11 +706,35 @@ mod tests {
     }
 
     #[test]
-    fn threads_env_knob_parses() {
-        // no env manipulation (tests run in parallel); exercise the parse
-        // contract through with_threads clamping instead
+    fn thread_less_constructors_are_sequential() {
+        // the oracle contract: only an explicit count builds a pool
+        let budget = || StorageConfig {
+            memory_budget: Some(1 << 20),
+            ..Default::default()
+        };
+        assert_eq!(ParallelExecutor::new().threads(), 1);
+        assert_eq!(ParallelExecutor::default().threads(), 1);
+        assert_eq!(LocalExecutor::new().threads(), 1);
+        assert_eq!(ParallelExecutor::with_budget(1 << 20).threads(), 1);
+        assert_eq!(
+            ParallelExecutor::with_budget_and_spill(1 << 20)
+                .unwrap()
+                .threads(),
+            1
+        );
+        assert_eq!(
+            ParallelExecutor::with_storage(budget()).unwrap().threads(),
+            1
+        );
+        assert_eq!(ParallelExecutor::new().retile, RetileMode::Off);
+        // explicit counts are honoured, clamped to at least one worker
         assert_eq!(ParallelExecutor::with_threads(0).threads(), 1);
         assert_eq!(ParallelExecutor::with_threads(6).threads(), 6);
-        assert!(threads_from_env() >= 1);
+        assert_eq!(
+            ParallelExecutor::with_storage_and_threads(budget(), 3)
+                .unwrap()
+                .threads(),
+            3
+        );
     }
 }

@@ -5,8 +5,9 @@
 //! schedule/execute → spill/read-back/recovery. Two clocks coexist:
 //!
 //! * **Host time** — monotonic [`Instant`] seconds since [`enable`], used
-//!   for driver-side stages ([`span`]/[`timed`]) and the
-//!   [`local::LocalExecutor`](crate::local::LocalExecutor). Host-timed
+//!   for driver-side stages ([`span`]/[`timed`]) and the host executor
+//!   ([`parallel::ParallelExecutor`](crate::parallel::ParallelExecutor),
+//!   of which `LocalExecutor` is the one-worker configuration). Host-timed
 //!   values are *measured* and therefore never part of determinism gates.
 //! * **Virtual time** — the simulator's deterministic clock, stamped
 //!   explicitly via [`span_at`]/[`instant_at`]/[`counter_at`]. Two

@@ -1516,18 +1516,6 @@ impl SimExecutor {
 
         // transient working-set charge (fusion saves storage traffic,
         // not the memory the computation itself needs)
-        if std::env::var("XORBITS_SIM_DEBUG").is_ok() && peak_extra > self.spec.worker_memory_bytes
-        {
-            eprintln!(
-                "DEBUG transient {}MB > budget in subtask {:?} (ext inputs {})",
-                peak_extra >> 20,
-                st.nodes
-                    .iter()
-                    .map(|&n| run.graph.chunks.nodes[n].op.name())
-                    .collect::<Vec<_>>(),
-                st.external_inputs.len()
-            );
-        }
         self.charge(worker, peak_extra)?;
         self.worker_live[worker] = self.worker_live[worker].saturating_sub(peak_extra);
 

@@ -45,8 +45,7 @@
 //! holds two shards.
 
 use crate::chunkfmt::{
-    decode_chunk_with, encoded_size, encoding_from_env, DecodeWorkspace, EncodeWorkspace,
-    EncodingMode,
+    decode_chunk_with, encoded_size, DecodeWorkspace, EncodeWorkspace, EncodingMode,
 };
 use crate::error::{StorageError, StorageResult};
 use crate::ChunkValue;
@@ -71,27 +70,18 @@ pub enum SpillConfig {
 }
 
 /// Configuration of a [`StorageService`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StorageConfig {
     /// Byte budget of the memory tier (`None` = unbounded, nothing ever
     /// evicts).
     pub memory_budget: Option<usize>,
     /// Disk-tier policy.
     pub spill: SpillConfig,
-    /// Spill-file encoding: `Auto` lets the per-column chooser compress,
-    /// `Plain` pins version-1 envelopes. The default resolves the
-    /// `XORBITS_ENCODING` env knob ([`encoding_from_env`]).
+    /// Spill-file encoding: `Auto` (the default) lets the per-column
+    /// chooser compress, `Plain` pins version-1 envelopes. Binaries that
+    /// honour the `XORBITS_ENCODING` knob resolve it with
+    /// [`encoding_from_env`](crate::encoding_from_env) and set it here.
     pub encoding: EncodingMode,
-}
-
-impl Default for StorageConfig {
-    fn default() -> StorageConfig {
-        StorageConfig {
-            memory_budget: None,
-            spill: SpillConfig::default(),
-            encoding: encoding_from_env(),
-        }
-    }
 }
 
 /// Cumulative counters plus a point-in-time snapshot of the tier state.

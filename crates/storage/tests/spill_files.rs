@@ -7,10 +7,14 @@
 //! dropped chunk *metadata*, so a long fetch with mid-flight refcount
 //! releases accumulated one orphaned `chunk-*.xbc` file per released
 //! spilled chunk until the whole fetch ended.
+//!
+//! Spill files use the `XORBITS_ENCODING` mode, resolved here at the
+//! test's edge (the service reads no environment), so running the suite
+//! with `XORBITS_ENCODING=plain` exercises the version-1 files.
 
 use std::path::{Path, PathBuf};
 use xorbits_dataframe::{Column, DataFrame};
-use xorbits_storage::{ChunkValue, SpillConfig, StorageConfig, StorageService};
+use xorbits_storage::{encoding_from_env, ChunkValue, SpillConfig, StorageConfig, StorageService};
 
 fn df_chunk(tag: i64, rows: usize) -> ChunkValue {
     ChunkValue::Df(
@@ -46,12 +50,18 @@ fn files_on_disk(dir: &Path) -> Vec<String> {
 
 /// Budget fits one ~800-byte chunk, so every additional put spills one.
 fn service(dir: &Path) -> StorageService {
-    StorageService::new(StorageConfig {
+    let service = StorageService::new(StorageConfig {
         memory_budget: Some(1000),
         spill: SpillConfig::Dir(dir.to_path_buf()),
-        ..Default::default()
+        encoding: encoding_from_env(),
     })
-    .unwrap()
+    .unwrap();
+    assert_eq!(
+        service.config().encoding,
+        encoding_from_env(),
+        "spill files must use the XORBITS_ENCODING mode"
+    );
+    service
 }
 
 #[test]

@@ -1,13 +1,15 @@
 //! Acceptance test of the multi-level storage service (the issue's bar):
 //! a TPC-H query pipeline that OOMs on the memory-only budgeted executor
 //! must complete under the *same* budget once the disk tier is enabled,
-//! with results equal to the unbounded run.
+//! with results equal to the unbounded run. The spill files use the
+//! `XORBITS_ENCODING` mode, resolved here at the test's edge.
 
 use xorbits_core::config::XorbitsConfig;
 use xorbits_core::error::{XbError, XbResult};
 use xorbits_core::local::LocalExecutor;
 use xorbits_core::session::Session;
 use xorbits_dataframe::{col, dates, lit, AggFunc::*, AggSpec, DataFrame, Scalar};
+use xorbits_storage::{encoding_from_env, SpillConfig, StorageConfig};
 use xorbits_workloads::tpch::TpchData;
 
 /// TPC-H Q1 (pricing summary report) against a local-executor session —
@@ -71,7 +73,12 @@ fn q1_ooms_without_spill_and_completes_with_it() {
     // same pipeline, same budget, spill enabled: completes and matches
     let spill_sess = Session::new(
         cfg(),
-        LocalExecutor::with_budget_and_spill(TIGHT_BUDGET).expect("spill dir"),
+        LocalExecutor::with_storage(StorageConfig {
+            memory_budget: Some(TIGHT_BUDGET),
+            spill: SpillConfig::TempDir,
+            encoding: encoding_from_env(),
+        })
+        .expect("spill dir"),
     );
     let out = q1(&spill_sess, &data).expect("spill-enabled Q1");
     assert_eq!(out, expected, "spilled run must equal the unbounded run");

@@ -84,8 +84,8 @@ cargo test -q --release -p xorbits-core --test retile_props
 # LocalExecutor oracle, and a randomized DAG re-runs 10x at 8 threads
 # asserting identical results plus balanced storage accounting
 # (unbalanced_unpins == 0, ledger drained after every fetch).
-echo "==> parallel-equivalence matrix (work stealing at 4 threads, 1/2/4/8-thread sweep)"
-XORBITS_THREADS=4 cargo test -q --release --test parallel_equivalence
+echo "==> parallel-equivalence matrix (1/2/4/8-thread sweep vs sequential oracle)"
+cargo test -q --release --test parallel_equivalence
 
 # Graph-compilation gates (hard): operator fusion, coloring and the subtask
 # build must reproduce the previous (map-rebuilding) implementations exactly

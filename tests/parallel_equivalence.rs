@@ -3,8 +3,9 @@
 //!
 //! Every TPC-H query runs on the multi-core executor at 1/2/4/8 worker
 //! threads and must produce a result **bit-identical** to the
-//! single-threaded [`LocalExecutor`] oracle under the same planner
-//! configuration: thread count and steal order may change only *placement*
+//! single-threaded [`LocalExecutor`] oracle (the same executor with one
+//! worker, which runs subtasks in graph order and never builds the pool)
+//! under the same planner configuration: thread count and steal order may change only *placement*
 //! (which chunk spills first), never a value. A randomized-DAG stress test
 //! re-runs one wide pseudo-random graph ten times at 8 threads, asserting
 //! identical results every time plus balanced storage accounting

@@ -8,11 +8,14 @@
 //! harvested histograms, so re-running the adaptive configuration must
 //! reproduce the retile/speculation counters exactly. Determinism is
 //! always judged on result bits and counters — never on virtual times,
-//! which embed measured host CPU.
+//! which embed measured host CPU. The host executor's own re-tiling path
+//! (`ParallelExecutor::with_retile`) runs the same family, sequentially
+//! and on a 2-thread pool, against the same oracle.
 
 use xorbits::baselines::EngineKind;
 use xorbits::core::config::XorbitsConfig;
 use xorbits::core::local::LocalExecutor;
+use xorbits::core::parallel::ParallelExecutor;
 use xorbits::core::retile::RetileMode;
 use xorbits::core::session::{ExecStats, Session};
 use xorbits::dataframe::DataFrame;
@@ -78,21 +81,27 @@ fn det(stats: &ExecStats) -> (usize, usize, usize, usize, usize) {
     )
 }
 
+/// Runs the skew workload `name` on a host-executor session.
+fn run_host(s: &Session<LocalExecutor>, d: &SkewData, name: &str) -> DataFrame {
+    match name {
+        "groupby-nunique" => run_groupby_nunique(s, d),
+        "groupby-sum" => run_groupby_sum(s, d),
+        "lopsided-join" => run_lopsided_join(s, d),
+        _ => unreachable!(),
+    }
+    .unwrap_or_else(|e| panic!("{name} failed on the host executor: {e}"))
+}
+
+/// The oracle: the single-process executor with the same planner config.
+fn oracle(d: &SkewData, name: &str) -> DataFrame {
+    run_host(&Session::new(skew_cfg(), LocalExecutor::new()), d, name)
+}
+
 #[test]
 fn skew_family_bit_identical_and_deterministic() {
     let d = data(1.5);
     for (name, run) in WORKLOADS {
-        // oracle: the single-process executor with the same planner config
-        let oracle = {
-            let s = Session::new(skew_cfg(), LocalExecutor::new());
-            match name {
-                "groupby-nunique" => run_groupby_nunique(&s, &d),
-                "groupby-sum" => run_groupby_sum(&s, &d),
-                "lopsided-join" => run_lopsided_join(&s, &d),
-                _ => unreachable!(),
-            }
-            .expect("local oracle")
-        };
+        let oracle = oracle(&d, name);
 
         let (off, off_stats) = run_sim(RetileMode::Off, &d, run);
         let (auto, auto_stats) = run_sim(RetileMode::Auto, &d, run);
@@ -150,8 +159,37 @@ fn skew_makespan_improves_on_zipf_15() {
     }
 }
 
-/// Balanced inputs: TPC-H must be bit-identical between `XORBITS_RETILE`
-/// auto and off, and the adaptive configuration must replay its counters
+#[test]
+fn parallel_executor_retiles_bit_identically_on_zipf_15() {
+    let d = data(1.5);
+    for (name, _) in WORKLOADS {
+        let oracle = oracle(&d, name);
+        for threads in [1usize, 2] {
+            let exec = ParallelExecutor::with_threads(threads).with_retile(RetileMode::Auto);
+            let s = Session::new(skew_cfg(), exec);
+            let out = run_host(&s, &d, name);
+            assert_eq!(
+                out, oracle,
+                "{name} at {threads} threads: re-tiled host run must be bit-identical to the oracle"
+            );
+            let retiled = s.total_stats().retiled_partitions;
+            match name {
+                "groupby-nunique" | "lopsided-join" => assert!(
+                    retiled > 0,
+                    "{name} at {threads} threads: Zipf(1.5) shuffle must trigger a re-tile"
+                ),
+                "groupby-sum" => assert_eq!(
+                    retiled, 0,
+                    "{name} at {threads} threads: decomposable aggregation must not re-tile"
+                ),
+                _ => unreachable!(),
+            }
+        }
+    }
+}
+
+/// Balanced inputs: TPC-H must be bit-identical between re-tiling auto
+/// and off, and the adaptive configuration must replay its counters
 /// exactly. (Whether any query triggers is the planner's business — the
 /// contract is that results never change and decisions are deterministic.)
 fn tpch_auto_vs_off(queries: std::ops::RangeInclusive<u32>) {
@@ -170,7 +208,7 @@ fn tpch_auto_vs_off(queries: std::ops::RangeInclusive<u32>) {
         };
         let (off, _) = run(RetileMode::Off);
         let (auto, auto_stats) = run(RetileMode::Auto);
-        assert_eq!(off, auto, "Q{q}: XORBITS_RETILE=auto changed the result");
+        assert_eq!(off, auto, "Q{q}: RetileMode::Auto changed the result");
         let (auto2, auto2_stats) = run(RetileMode::Auto);
         assert_eq!(auto, auto2, "Q{q}: nondeterministic re-tiled result");
         assert_eq!(
